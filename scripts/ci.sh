@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Single CI gate: tier-1 unit suite, static-analysis lint, chaos tier,
-# facade selftest, perf regression, telemetry + retry overhead.
+# scenario tier, the paper's E1-E9/ablation regenerations, facade
+# selftest, perf regression, telemetry + retry overhead.
 #
 #   scripts/ci.sh                 # full gate (tier-1 + chaos + selftest + bench)
 #   SKIP_BENCH=1 scripts/ci.sh    # fast gate (no benchmark re-run)
@@ -9,6 +10,12 @@
 # hangs, kills, corrupted chunk payloads) and pins that records with
 # injected faults are bit-identical to records without, on every
 # backend.
+#
+# The science stages gate the paper's qualitative claims: the scenario
+# tier runs the built-in catalog end to end, and the E1-E9/ablation
+# regenerations assert their trends (indicators improve with diversity,
+# ANOVA allocation, DoE reductions) on the shared-generator streams of
+# run_batch/execute/batch.
 #
 # The benchmark stage re-times the perf suites and compares medians
 # against the persisted baseline (BENCH_PR9.json by default — the most
@@ -39,6 +46,14 @@ python -m repro.analysis --baseline analysis-baseline.json src examples
 echo
 echo "== chaos tier (seeded fault injection) =="
 python -m pytest -m chaos -q
+
+echo
+echo "== scenario tier (built-in catalog smoke runs) =="
+python -m pytest -m scenario -q
+
+echo
+echo "== paper regenerations (E1-E9, ablations) =="
+python -m pytest -m bench -q benchmarks/test_bench_e*.py benchmarks/test_bench_abl_*.py
 
 echo
 echo "== repro.api selftest =="

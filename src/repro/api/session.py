@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.api.builder import StudyBuilder
 from repro.api.jobs import JobHandle
@@ -467,56 +467,9 @@ class Session:
             runner.
         """
         self._ensure_open()
-        scenario = self._resolve_one(target)
-        root = as_seed_sequence(self._effective_seed(seed, target))
-        campaign = self._campaign_for(scenario)
-        effective_max = self._effective_stream_bound(
-            stream, max_records_in_ram
+        _, produce = self._campaign_producer(
+            target, replications, seed, stream, max_records_in_ram, batch_size
         )
-        effective_batch = self._effective_batch_size(batch_size, target)
-        batch_execution = (
-            {"batch_size": effective_batch}
-            if effective_batch is not None
-            else None
-        )
-
-        def produce() -> CampaignRunResult:
-            if effective_max is None:
-                table = campaign.run_batch_table(
-                    replications,
-                    rng=root,
-                    runner=self.runner,
-                    batch_size=effective_batch,
-                )
-                return self._campaign_result(
-                    scenario,
-                    replications,
-                    root,
-                    table,
-                    execution=batch_execution,
-                )
-            aggregate = StreamingSummary()
-            table = campaign.run_batch_table(
-                replications,
-                rng=root,
-                runner=self.runner,
-                max_records_in_ram=effective_max,
-                aggregators=(aggregate,),
-                batch_size=effective_batch,
-            )
-            return self._campaign_result(
-                scenario,
-                replications,
-                root,
-                table,
-                aggregate=aggregate,
-                execution={
-                    "stream": True,
-                    "max_records_in_ram": effective_max,
-                    **(batch_execution or {}),
-                },
-            )
-
         telemetry = self._telemetry_for_run("session.campaign")
         if telemetry is None:
             return produce()
@@ -539,52 +492,78 @@ class Session:
             return DEFAULT_MAX_RECORDS_IN_RAM
         return None
 
-    @staticmethod
-    def _campaign_for(scenario: Scenario) -> AttackCampaign:
-        return AttackCampaign(
+    def _campaign_producer(
+        self,
+        target: StudyLike,
+        replications: int,
+        seed: Optional[SeedLike],
+        stream: bool,
+        max_records_in_ram: Optional[int],
+        batch_size: Optional[int],
+    ) -> Tuple[Scenario, Callable[..., CampaignRunResult]]:
+        """Resolve one campaign call; return its scenario and
+        ``produce(on_result=None, cancel=None)``.
+
+        :meth:`campaign` and :meth:`submit_campaign` share it, so the
+        sync and job paths run and digest the identical payload.  The
+        execution knobs are recorded on the provenance but excluded
+        from its digest, so streamed and in-RAM runs of the same spec
+        digest identically."""
+        scenario = self._resolve_one(target)
+        root = as_seed_sequence(self._effective_seed(seed, target))
+        campaign = AttackCampaign(
             scenario.build_network(),
             scenario.build_catalog(),
             scenario.build_threat(),
             scenario.build_campaign_config(),
         )
+        bound = self._effective_stream_bound(stream, max_records_in_ram)
+        effective_batch = self._effective_batch_size(batch_size, target)
+        execution: Dict[str, Any] = {}
+        if bound is not None:
+            execution.update(stream=True, max_records_in_ram=bound)
+        if effective_batch is not None:
+            execution["batch_size"] = effective_batch
 
-    def _campaign_result(
-        self,
-        scenario: Scenario,
-        replications: int,
-        root: "Any",
-        table: "Any",
-        aggregate: Optional[StreamingSummary] = None,
-        execution: Optional[dict] = None,
-    ) -> CampaignRunResult:
-        """The shared result/provenance assembly of campaign runs —
-        sync and job paths must digest the identical payload.  The
-        ``execution`` knobs are recorded on the provenance but excluded
-        from its digest, so streamed and in-RAM runs of the same spec
-        digest identically."""
-        summary = (
-            aggregate.summary()
-            if aggregate is not None
-            else summarize_records(table)
-        )
-        return CampaignRunResult(
-            table=table,
-            summary=summary,
-            scenario_name=scenario.name,
-            replications=replications,
-            provenance=provenance_for(
-                {
-                    "scenario": scenario.to_dict(),
-                    "replications": replications,
-                    "kind": "campaign",
-                },
-                root,
-                self.runner,
-                source="campaign",
-                execution=execution,
-            ),
-            aggregate=aggregate,
-        )
+        def produce(
+            on_result: Optional[Callable[[int], None]] = None,
+            cancel: Optional[Any] = None,
+        ) -> CampaignRunResult:
+            aggregate = None if bound is None else StreamingSummary()
+            table = campaign.run_batch_table(
+                replications,
+                rng=root,
+                runner=self.runner,
+                on_result=on_result,
+                cancel=cancel,
+                max_records_in_ram=bound,
+                aggregators=() if aggregate is None else (aggregate,),
+                batch_size=effective_batch,
+            )
+            return CampaignRunResult(
+                table=table,
+                summary=(
+                    summarize_records(table)
+                    if aggregate is None
+                    else aggregate.summary()
+                ),
+                scenario_name=scenario.name,
+                replications=replications,
+                provenance=provenance_for(
+                    {
+                        "scenario": scenario.to_dict(),
+                        "replications": replications,
+                        "kind": "campaign",
+                    },
+                    root,
+                    self.runner,
+                    source="campaign",
+                    execution=execution or None,
+                ),
+                aggregate=aggregate,
+            )
+
+        return scenario, produce
 
     # ---- asynchronous execution -----------------------------------------
 
@@ -676,66 +655,16 @@ class Session:
         exactly as on the synchronous :meth:`campaign`.
         """
         self._ensure_open()
-        scenario = self._resolve_one(target)
-        root = as_seed_sequence(self._effective_seed(seed, target))
-        campaign = self._campaign_for(scenario)
-        effective_max = self._effective_stream_bound(
-            stream, max_records_in_ram
+        scenario, produce = self._campaign_producer(
+            target, replications, seed, stream, max_records_in_ram, batch_size
         )
-        effective_batch = self._effective_batch_size(batch_size, target)
-        batch_execution = (
-            {"batch_size": effective_batch}
-            if effective_batch is not None
-            else None
-        )
-
-        def produce(job: JobHandle) -> CampaignRunResult:
-            if effective_max is None:
-                table = campaign.run_batch_table(
-                    replications,
-                    rng=as_seed_sequence(root),
-                    runner=self.runner,
-                    on_result=job._advance,
-                    cancel=job._cancel_event,
-                    batch_size=effective_batch,
-                )
-                return self._campaign_result(
-                    scenario,
-                    replications,
-                    root,
-                    table,
-                    execution=batch_execution,
-                )
-            aggregate = StreamingSummary()
-            table = campaign.run_batch_table(
-                replications,
-                rng=as_seed_sequence(root),
-                runner=self.runner,
-                on_result=job._advance,
-                cancel=job._cancel_event,
-                max_records_in_ram=effective_max,
-                aggregators=(aggregate,),
-                batch_size=effective_batch,
-            )
-            return self._campaign_result(
-                scenario,
-                replications,
-                root,
-                table,
-                aggregate=aggregate,
-                execution={
-                    "stream": True,
-                    "max_records_in_ram": effective_max,
-                    **(batch_execution or {}),
-                },
-            )
 
         def body(job: JobHandle) -> CampaignRunResult:
             telemetry = job._telemetry
             if telemetry is None:
-                return produce(job)
+                return produce(job._advance, job._cancel_event)
             with telemetry.activate(), telemetry.span("session.campaign"):
-                result = produce(job)
+                result = produce(job._advance, job._cancel_event)
             result.telemetry = telemetry.snapshot()
             return result
 

@@ -173,36 +173,16 @@ class AttackOutcome:
 
 def _response_row_unit(
     campaign: "AttackCampaign", rng: np.random.Generator
-) -> Tuple[float, float, float, float]:
-    """Run one replication, return only its compact response row.
+) -> np.ndarray:
+    """Run one replication, return only its ``(1, 4)`` response row.
 
     Module-level so the ``process`` backend can pickle it; shipping four
     floats back instead of a full :class:`AttackOutcome` (with its
     trace) is what makes :meth:`AttackCampaign.run_batch_table` cheap
     across process boundaries.
     """
-    return campaign.run(rng).response_row(campaign.config.horizon)
-
-
-def _feed_aggregators(
-    aggregators: Tuple[Callable[..., None], ...],
-    columns: Dict[str, np.ndarray],
-    rows: List[Tuple[float, float, float, float]],
-) -> None:
-    """Fold one chunk of response rows into every aggregator.
-
-    Aggregators with an ``observe_columns`` method (e.g.
-    :class:`~repro.results.streaming.StreamingSummary`) get the whole
-    chunk vectorized; plain callables are invoked once per row with the
-    ``(success, tta, ttsf, final_ratio)`` tuple.
-    """
-    for aggregator in aggregators:
-        observe = getattr(aggregator, "observe_columns", None)
-        if observe is not None:
-            observe(columns)
-        else:
-            for row in rows:
-                aggregator(tuple(row))
+    row = campaign.run(rng).response_row(campaign.config.horizon)
+    return np.asarray(row, dtype=np.float64).reshape(1, 4)
 
 
 @dataclass
@@ -1177,6 +1157,7 @@ class AttackCampaign:
           passed together with a runner contributes one draw to derive
           the root seed.
 
+        Both modes run through :func:`repro.exec.replicate`.
         ``on_result(replication_index)`` (optional) reports partial
         progress; ``cancel`` (optional, ``is_set()`` protocol) aborts
         the batch with
@@ -1184,52 +1165,17 @@ class AttackCampaign:
         affects outcomes.
 
         Raises:
+            TypeError: If ``replications`` is not an integer.
             ValueError: If ``replications < 1``.
         """
-        if replications < 1:
-            raise ValueError(f"replications must be >= 1, got {replications}")
-        if runner is None and isinstance(rng, np.random.Generator):
-            return self._legacy_batch(
-                replications, rng, self.run, on_result, cancel
-            )
-        from repro.exec import ExperimentRunner
+        from repro.exec import replicate
 
-        active = runner or ExperimentRunner()
-        unit_hook = None
+        hook = None
         if on_result is not None:
-            unit_hook = lambda index, _result: on_result(index)
-        return active.run_replications(
-            self.run,
-            replications,
-            seed=rng,
-            on_result=unit_hook,
-            cancel=cancel,
+            hook = lambda index, _outcome: on_result(index)
+        return replicate(
+            self.run, replications, rng, runner, on_result=hook, cancel=cancel
         )
-
-    def _legacy_batch(
-        self,
-        replications: int,
-        rng: np.random.Generator,
-        body: Callable[[np.random.Generator], object],
-        on_result: Optional[Callable[[int], None]],
-        cancel: Optional[object],
-    ) -> List:
-        """Shared-generator loop with the optional progress hooks."""
-        if on_result is None and cancel is None:
-            return [body(rng) for _ in range(replications)]
-        from repro.exec.backends import ExecutionCancelled
-
-        results: List = []
-        for index in range(replications):
-            if cancel is not None and cancel.is_set():
-                raise ExecutionCancelled(
-                    f"batch cancelled after {index} of "
-                    f"{replications} replications"
-                )
-            results.append(body(rng))
-            if on_result is not None:
-                on_result(index)
-        return results
 
     def run_batch_table(
         self,
@@ -1239,7 +1185,7 @@ class AttackCampaign:
         on_result: Optional[Callable[[int], None]] = None,
         cancel: Optional[object] = None,
         max_records_in_ram: Optional[int] = None,
-        aggregators: Tuple[Callable[..., None], ...] = (),
+        aggregators: Tuple[object, ...] = (),
         batch_size: Optional[int] = None,
     ):
         """Independent replications as a columnar response table.
@@ -1261,12 +1207,14 @@ class AttackCampaign:
         identical to the default mode for the same seed — only where
         they live differs.
 
-        ``aggregators`` are fed every response row as it completes, in
-        submission order — :class:`~repro.results.streaming
-        .StreamingSummary` instances stream whole chunks, any other
-        callable is invoked per row as ``agg((success, tta, ttsf,
-        final_ratio))`` — in both modes, so running summaries/CIs come
-        out of a campaign without touching the table at all.
+        ``aggregators`` are objects with an ``observe_columns(columns)``
+        method, such as :class:`~repro.results.streaming
+        .StreamingSummary`.  They see every response row in submission
+        order, as whole column chunks: once over the table in the
+        default mode, once per buffered chunk (up to
+        ``min(max_records_in_ram, 4096)`` rows) in streaming mode — so
+        running summaries/CIs come out of a campaign without touching
+        the table at all.
 
         ``batch_size`` switches replications to the **mega-batch**
         lowering: lanes advance ``batch_size`` at a time through
@@ -1287,195 +1235,78 @@ class AttackCampaign:
 
         Raises:
             TypeError: If ``replications`` or ``batch_size`` is not an
-                integer.
-            ValueError: If either is ``< 1``.
+                integer, or an aggregator has no ``observe_columns``
+                (raised before any replication runs).
+            ValueError: If either count is ``< 1``.
         """
-        from repro.exec import validate_batch_args
-
-        validate_batch_args(replications, batch_size)
-        from repro.results import RecordTable
-
-        if max_records_in_ram is not None:
-            return self._stream_batch_table(
-                replications,
-                rng,
-                runner,
-                on_result,
-                cancel,
-                max_records_in_ram,
-                aggregators,
-                batch_size,
-            )
-        if batch_size is not None:
-            rows = None
-            data = self._batched_rows(
-                replications, rng, runner, on_result, cancel, batch_size
-            )
-        elif runner is None and isinstance(rng, np.random.Generator):
-            rows = self._legacy_batch(
-                replications,
-                rng,
-                lambda gen: self.run(gen).response_row(self.config.horizon),
-                on_result,
-                cancel,
-            )
-        else:
-            from repro.exec import ExperimentRunner
-
-            active = runner or ExperimentRunner()
-            unit_hook = None
-            if on_result is not None:
-                unit_hook = lambda index, _result: on_result(index)
-            rows = active.run_replications(
-                _response_row_unit,
-                replications,
-                seed=rng,
-                common_args=(self,),
-                on_result=unit_hook,
-                cancel=cancel,
-            )
-        if rows is not None:
-            data = np.asarray(rows, dtype=np.float64).reshape(len(rows), 4)
-        columns = {
-            "success": data[:, 0],
-            "tta": data[:, 1],
-            "ttsf": data[:, 2],
-            "final_ratio": data[:, 3],
-        }
-        if aggregators:
-            _feed_aggregators(
-                aggregators, columns, rows if rows is not None else list(data)
-            )
-        return RecordTable(columns)
-
-    def _batched_rows(
-        self,
-        replications: int,
-        rng: "SeedLike",
-        runner: Optional["ExperimentRunner"],
-        on_result: Optional[Callable[[int], None]],
-        cancel: Optional[object],
-        batch_size: int,
-        take: Optional[Callable[[int, np.ndarray], None]] = None,
-    ) -> Optional[np.ndarray]:
-        """Run the mega-batch lowering; return stacked response rows.
-
-        With ``take`` the per-unit row blocks stream through it instead
-        (``collect=False``) and ``None`` is returned.
-        """
-        from repro.attacks.batched import (
-            CampaignBatchEngine,
-            simulate_batch_rows,
-        )
-        from repro.exec import ExperimentRunner
-
-        engine = CampaignBatchEngine(self)
-        active = runner or ExperimentRunner()
-        unit_hook = take
-        if unit_hook is None and on_result is not None:
-            unit_hook = lambda index, _result: on_result(index)
-        blocks = active.run_batched_replications(
-            simulate_batch_rows,
-            replications,
-            batch_size,
-            seed=rng,
-            common_args=(engine,),
-            on_result=unit_hook,
-            cancel=cancel,
-            collect=take is None,
-        )
-        if take is not None:
-            return None
-        return np.concatenate(blocks, axis=0)
-
-    def _stream_batch_table(
-        self,
-        replications: int,
-        rng: "SeedLike",
-        runner: Optional["ExperimentRunner"],
-        on_result: Optional[Callable[[int], None]],
-        cancel: Optional[object],
-        max_records_in_ram: int,
-        aggregators: Tuple[Callable[..., None], ...],
-        batch_size: Optional[int] = None,
-    ):
-        """The bounded-memory body of :meth:`run_batch_table`."""
+        from repro.exec import replicate
+        from repro.results import RESPONSE_COLUMNS, RecordTable
         from repro.results.streaming import StreamingTableBuilder
 
-        builder = StreamingTableBuilder(
-            max_records_in_ram=max_records_in_ram
-        )
-        buffer: List[Tuple[float, float, float, float]] = []
-        flush_at = min(max_records_in_ram, 4096)
-
-        def flush() -> None:
-            if not buffer:
-                return
-            data = np.asarray(buffer, dtype=np.float64).reshape(
-                len(buffer), 4
+        for aggregator in aggregators:
+            if not callable(getattr(aggregator, "observe_columns", None)):
+                raise TypeError(
+                    "aggregators must have an observe_columns(columns) "
+                    f"method, got {type(aggregator).__name__}"
+                )
+        if batch_size is None:
+            unit, common_args = _response_row_unit, (self,)
+        else:
+            from repro.attacks.batched import (
+                CampaignBatchEngine,
+                simulate_batch_rows,
             )
-            columns = {
-                "success": data[:, 0],
-                "tta": data[:, 1],
-                "ttsf": data[:, 2],
-                "final_ratio": data[:, 3],
-            }
-            if aggregators:
-                _feed_aggregators(aggregators, columns, buffer)
-            builder.append_rows(columns)
-            buffer.clear()
 
-        def take(index: int, row: Tuple[float, float, float, float]) -> None:
-            buffer.append(row)
+            unit = simulate_batch_rows
+            common_args = (CampaignBatchEngine(self),)
+        # Every unit yields an (n, 4) row block; streaming folds the
+        # buffered blocks into the sink once they reach ``flush_at`` rows.
+        builder = None
+        flush_at = 0
+        if max_records_in_ram is not None:
+            builder = StreamingTableBuilder(
+                max_records_in_ram=max_records_in_ram
+            )
+            flush_at = min(max_records_in_ram, 4096)
+        blocks: List[np.ndarray] = []
+        buffered = 0
+
+        def flush() -> Dict[str, np.ndarray]:
+            nonlocal buffered
+            data = np.concatenate(blocks, axis=0)
+            blocks.clear()
+            buffered = 0
+            columns = {
+                name: data[:, i] for i, name in enumerate(RESPONSE_COLUMNS)
+            }
+            for aggregator in aggregators:
+                aggregator.observe_columns(columns)
+            if builder is not None:
+                builder.append_rows(columns)
+            return columns
+
+        def take(index: int, block: np.ndarray) -> None:
+            nonlocal buffered
+            blocks.append(block)
+            buffered += len(block)
             if on_result is not None:
                 on_result(index)
-            if len(buffer) >= flush_at:
+            if builder is not None and buffered >= flush_at:
                 flush()
 
-        if batch_size is not None:
-
-            def take_block(index: int, block: np.ndarray) -> None:
-                buffer.extend(tuple(row) for row in block)
-                if on_result is not None:
-                    on_result(index)
-                if len(buffer) >= flush_at:
-                    flush()
-
-            self._batched_rows(
-                replications,
-                rng,
-                runner,
-                on_result,
-                cancel,
-                batch_size,
-                take=take_block,
-            )
-        elif runner is None and isinstance(rng, np.random.Generator):
-            # Legacy shared-generator mode, streamed: same draw order
-            # as the collected path, rows folded in as they complete.
-            from repro.exec.backends import ExecutionCancelled
-
-            for index in range(replications):
-                if cancel is not None and cancel.is_set():
-                    raise ExecutionCancelled(
-                        f"batch cancelled after {index} of "
-                        f"{replications} replications"
-                    )
-                take(
-                    index, self.run(rng).response_row(self.config.horizon)
-                )
-        else:
-            from repro.exec import ExperimentRunner
-
-            active = runner or ExperimentRunner()
-            active.run_replications(
-                _response_row_unit,
-                replications,
-                seed=rng,
-                common_args=(self,),
-                on_result=take,
-                cancel=cancel,
-                collect=False,
-            )
-        flush()
+        replicate(
+            unit,
+            replications,
+            rng,
+            runner,
+            common_args=common_args,
+            batch_size=batch_size,
+            on_result=take,
+            cancel=cancel,
+            collect=False,
+        )
+        if builder is None:
+            return RecordTable(flush())
+        if blocks:
+            flush()
         return builder.build()

@@ -20,8 +20,13 @@ from repro.core.indicators import IndicatorSet, compute_indicators
 from repro.diversity.catalog import VariantCatalog
 from repro.diversity.config import configuration_from_run
 from repro.doe.design import Design, Run
-from repro.exec.runner import ExperimentRunner
-from repro.exec.seeding import SeedLike, as_seed_sequence, spawn_sequences
+from repro.exec.runner import (
+    ExperimentRunner,
+    replicate,
+    run_units,
+    shares_generator,
+)
+from repro.exec.seeding import SeedLike, as_seed_sequence
 from repro.results import (
     Provenance,
     RecordTable,
@@ -167,7 +172,7 @@ class MeasurementPlan:
         self.catalog = catalog
         self.threat = threat
         self.design = design
-        self.replications = replications
+        self.replications = int(replications)
         self.campaign_config = campaign_config or CampaignConfig()
         self.batch_size = batch_size
 
@@ -194,51 +199,43 @@ class MeasurementPlan:
         )
 
     def execute_run(
-        self, run_index: int, seq: np.random.SeedSequence
+        self, run_index: int, seq: SeedLike
     ) -> Tuple[RecordTable, IndicatorSet]:
         """Execute one design run with spawn-per-replication seeding.
 
         This is the parallel work unit: every replication draws from its
         own generator (the ``i``-th spawn of ``seq``), so the run's
         records depend only on ``(seq, run_index)`` — not on which
-        worker, backend or chunk executed it.  The run's records come
-        back as one compact :class:`~repro.results.RecordTable` (column
-        buffers, not a pickled dict list) plus its indicator set.
+        worker, backend or chunk executed it.  Given a shared
+        :class:`~numpy.random.Generator` instead, the replications (and
+        mega-batch units) draw from it in turn, which is the legacy mode
+        of :meth:`execute`.  The run's records come back as one compact
+        :class:`~repro.results.RecordTable` (column buffers, not a
+        pickled dict list) plus its indicator set.
         """
         with trace("measurement.run"):
             campaign = self.campaign_for_run(run_index)
-            if self.batch_size is not None:
-                outcomes = self._batched_outcomes(campaign, seq)
+            if self.batch_size is None:
+                outcomes = replicate(campaign.run, self.replications, seq)
             else:
-                outcomes = [
-                    campaign.run(np.random.default_rng(child))
-                    for child in seq.spawn(self.replications)
-                ]
+                from repro.attacks.batched import (
+                    CampaignBatchEngine,
+                    simulate_batch_outcomes,
+                )
+
+                blocks = replicate(
+                    simulate_batch_outcomes,
+                    self.replications,
+                    seq,
+                    common_args=(CampaignBatchEngine(campaign),),
+                    batch_size=self.batch_size,
+                    shared_batches=True,
+                )
+                outcomes = [outcome for block in blocks for outcome in block]
             table = self._table_for_run(
                 self.design.runs[run_index], run_index, outcomes
             )
             return table, compute_indicators(outcomes)
-
-    def _batched_outcomes(
-        self, campaign: AttackCampaign, seq: np.random.SeedSequence
-    ) -> List[AttackOutcome]:
-        """One run's replications through the mega-batch lowering.
-
-        Unit seeds spawn from ``seq`` exactly like the scalar path's
-        per-replication spawns, so ``batch_size=1`` reproduces the
-        scalar records bit-for-bit.
-        """
-        from repro.attacks.batched import CampaignBatchEngine
-        from repro.exec import batch_unit_sizes
-
-        engine = CampaignBatchEngine(campaign)
-        sizes = batch_unit_sizes(self.replications, self.batch_size)
-        outcomes: List[AttackOutcome] = []
-        for child, size in zip(seq.spawn(len(sizes)), sizes):
-            outcomes.extend(
-                engine.run_outcomes(size, np.random.default_rng(child))
-            )
-        return outcomes
 
     def spec_payload(self) -> Dict[str, object]:
         """Best-effort canonical description of this plan (provenance).
@@ -285,6 +282,9 @@ class MeasurementPlan:
           spawned :class:`~numpy.random.SeedSequence`, and records are
           bit-identical across backends, worker counts and chunkings.
 
+        Both modes are one :func:`repro.exec.run_units` call over the
+        design runs, each unit being :meth:`execute_run`.
+
         Args:
             rng: Seed or generator (see above).
             runner: Optional :class:`~repro.exec.runner.ExperimentRunner`.
@@ -296,101 +296,42 @@ class MeasurementPlan:
                 :class:`~repro.exec.backends.ExecutionCancelled`.
             max_records_in_ram: When set, per-run tables stream into a
                 spilling :class:`~repro.results.streaming
-                .StreamingTableBuilder` as each run completes (runner
-                mode runs ``collect=False``), and the result's table is
-                a lazy ``ShardedRecordTable`` holding at most this many
-                rows in RAM.  Records are identical to the default
-                in-RAM mode for the same seed.
+                .StreamingTableBuilder` as each run completes, and the
+                result's table is a lazy ``ShardedRecordTable`` holding
+                at most this many rows in RAM.  Records are identical
+                to the default in-RAM mode for the same seed.
         """
+        shared = shares_generator(rng, runner)
+        root = rng if shared else as_seed_sequence(rng)
         builder = None
+        tables: List[RecordTable] = []
         if max_records_in_ram is not None:
             from repro.results.streaming import StreamingTableBuilder
 
             builder = StreamingTableBuilder(
                 max_records_in_ram=max_records_in_ram
             )
+        sink = tables.append if builder is None else builder.append_table
+        run_indicators: List[IndicatorSet] = []
+
+        def take(index: int, result: Tuple) -> None:
+            run_table, indicators = result
+            sink(run_table)
+            run_indicators.append(indicators)
+            if on_result is not None:
+                on_result(index)
+
+        run_units(
+            self.execute_run,
+            [(i,) for i in range(len(self.design.runs))],
+            root,
+            runner,
+            on_result=take,
+            cancel=cancel,
+            collect=False,
+        )
         provenance: Optional[Provenance] = None
-        if runner is None and isinstance(rng, np.random.Generator):
-            from repro.exec.backends import ExecutionCancelled
-
-            tables: List[RecordTable] = []
-            run_indicators: List[IndicatorSet] = []
-            for run_index, run in enumerate(self.design.runs):
-                if cancel is not None and cancel.is_set():
-                    raise ExecutionCancelled(
-                        f"measurement cancelled after {run_index} of "
-                        f"{len(self.design.runs)} design runs"
-                    )
-                campaign = self.campaign_for_run(run_index)
-                if self.batch_size is not None:
-                    from repro.attacks.batched import CampaignBatchEngine
-                    from repro.exec import batch_unit_sizes
-
-                    engine = CampaignBatchEngine(campaign)
-                    outcomes = []
-                    for size in batch_unit_sizes(
-                        self.replications, self.batch_size
-                    ):
-                        outcomes.extend(engine.run_outcomes(size, rng))
-                else:
-                    outcomes = campaign.run_batch(self.replications, rng)
-                run_indicators.append(compute_indicators(outcomes))
-                run_table = self._table_for_run(run, run_index, outcomes)
-                if builder is not None:
-                    builder.append_table(run_table)
-                else:
-                    tables.append(run_table)
-                if on_result is not None:
-                    on_result(run_index)
-        else:
-            active = runner or ExperimentRunner()
-            root = as_seed_sequence(rng)
-            if not self.design.runs:
-                if cancel is not None and cancel.is_set():
-                    from repro.exec.backends import ExecutionCancelled
-
-                    raise ExecutionCancelled("measurement cancelled")
-                tables, run_indicators = [], []
-            elif builder is not None:
-                # Streaming: fold each run's table into the builder as
-                # it completes (submission order) instead of collecting.
-                sequences = spawn_sequences(root, len(self.design.runs))
-                indicators_by_run: Dict[int, IndicatorSet] = {}
-
-                def take(index: int, result: Tuple) -> None:
-                    run_table, indicators = result
-                    builder.append_table(run_table)
-                    indicators_by_run[index] = indicators
-                    if on_result is not None:
-                        on_result(index)
-
-                active.map(
-                    self.execute_run,
-                    [(i, seq) for i, seq in enumerate(sequences)],
-                    on_result=take,
-                    cancel=cancel,
-                    collect=False,
-                )
-                tables = []
-                run_indicators = [
-                    indicators_by_run[i]
-                    for i in range(len(self.design.runs))
-                ]
-            else:
-                sequences = spawn_sequences(root, len(self.design.runs))
-                unit_hook = None
-                if on_result is not None:
-                    unit_hook = lambda index, _result: on_result(index)
-                results = active.map(
-                    self.execute_run,
-                    [(i, seq) for i, seq in enumerate(sequences)],
-                    on_result=unit_hook,
-                    cancel=cancel,
-                )
-                tables = [table for table, _ in results]
-                run_indicators = [
-                    indicators for _, indicators in results
-                ]
+        if not shared:
             execution = (
                 {"batch_size": self.batch_size}
                 if self.batch_size is not None
@@ -399,7 +340,7 @@ class MeasurementPlan:
             provenance = provenance_for(
                 self.spec_payload(),
                 root,
-                active,
+                runner or ExperimentRunner(),
                 source="measurement_plan",
                 execution=execution,
             )

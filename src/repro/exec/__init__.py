@@ -6,8 +6,10 @@ The subsystem has three layers:
   that makes randomness a pure function of ``(root seed, unit index)``;
 * :mod:`repro.exec.backends` — ``serial`` / ``thread`` / ``process``
   execution strategies with order-preserving result collection;
-* :mod:`repro.exec.runner` — :class:`ExperimentRunner`, the façade the
-  measurement, campaign and SAN batch entry points build on;
+* :mod:`repro.exec.runner` — :class:`ExperimentRunner` and
+  :func:`replicate`/:func:`run_units`, the one replication loop the
+  measurement, campaign and SAN batch entry points build on (it makes
+  the shared-generator vs spawned-seed decision once, per call);
 * :mod:`repro.exec.resilience` — :class:`RetryPolicy`, the per-chunk
   watchdog and the pool-respawn/degradation ladder layered under the
   pool backends (retries re-use the originally spawned seeds, so fault
@@ -39,6 +41,9 @@ from repro.exec.resilience import (
 from repro.exec.runner import (
     ExperimentRunner,
     batch_unit_sizes,
+    replicate,
+    run_units,
+    shares_generator,
     validate_batch_args,
 )
 from repro.exec.seeding import (
@@ -69,7 +74,10 @@ __all__ = [
     "batch_unit_sizes",
     "validate_batch_args",
     "get_backend",
+    "replicate",
     "replication_generators",
+    "run_units",
     "sequence_state",
+    "shares_generator",
     "spawn_sequences",
 ]

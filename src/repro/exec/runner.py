@@ -18,35 +18,39 @@ import numpy as np
 
 from repro.exec.backends import (
     ExecutionBackend,
+    SerialBackend,
     WorkUnit,
     default_chunk_size,
     get_backend,
 )
 from repro.exec.resilience import RetryPolicy
-from repro.exec.seeding import SeedLike, as_seed_sequence, spawn_sequences
+from repro.exec.seeding import SeedLike, spawn_sequences
 from repro.telemetry.core import current as _current_telemetry
 
 _LOG = logging.getLogger(__name__)
 
 
-def _call_with_generator(
-    fn: Callable[..., Any], seq: np.random.SeedSequence, args: Tuple[Any, ...]
-) -> Any:
+def _call_with_generator(fn: Callable[..., Any], *args: Any) -> Any:
     """Build the unit's generator worker-side and invoke ``fn``.
 
-    Module-level so the ``process`` backend can pickle it.
+    The last argument is the unit's seed: its own spawned
+    ``SeedSequence``, or the shared ``Generator``, which
+    ``default_rng`` hands back unchanged.  Module-level so the
+    ``process`` backend can pickle it.
     """
-    return fn(*args, np.random.default_rng(seq))
+    *head, seed = args
+    return fn(*head, np.random.default_rng(seed))
 
 
 def validate_batch_args(
     replications: Any, batch_size: Optional[Any] = None
 ) -> None:
-    """Shared argument validation for every batched entry point.
+    """Shared argument validation for every replication entry point.
 
-    ``SANSimulator.batch``, ``AttackCampaign.run_batch*`` and
-    :meth:`ExperimentRunner.run_batched_replications` all funnel through
-    this so their error messages stay consistent.
+    :func:`replicate` calls it, so ``AttackCampaign.run_batch*``,
+    ``SANSimulator.batch``, ``MeasurementPlan`` and the
+    :class:`ExperimentRunner` replication methods all reject the same
+    arguments with the same messages.
 
     Raises:
         TypeError: If ``replications`` or ``batch_size`` is not an
@@ -78,6 +82,108 @@ def batch_unit_sizes(replications: int, batch_size: int) -> List[int]:
     if remainder:
         sizes.append(remainder)
     return sizes
+
+
+def shares_generator(seed: SeedLike, runner: Optional[Any]) -> bool:
+    """Whether a call runs in the legacy shared-generator mode: a
+    :class:`~numpy.random.Generator` passed without a runner."""
+    return runner is None and isinstance(seed, np.random.Generator)
+
+
+def run_units(
+    fn: Callable[..., Any],
+    unit_args: Sequence[Tuple[Any, ...]],
+    seed: SeedLike = None,
+    runner: Optional["ExperimentRunner"] = None,
+    *,
+    share: bool = True,
+    on_result: Optional[Callable[[int, Any], None]] = None,
+    cancel: Optional[Any] = None,
+    collect: bool = True,
+) -> List[Any]:
+    """The replication loop: ``fn(*args, unit_seed)`` per unit, in order.
+
+    The seeding decision is made here, once per call:
+
+    * **shared** — ``share`` is set and :func:`shares_generator` holds:
+      every unit receives ``seed`` itself and draws from it in
+      submission order (the library's historical streams);
+    * **spawned** — otherwise unit ``i`` receives the ``i``-th child
+      :class:`~numpy.random.SeedSequence` of ``seed``, spawned centrally
+      before dispatch (a ``Generator`` contributes one draw to derive
+      the root).
+
+    With a ``runner`` the units go through :meth:`ExperimentRunner.map`
+    and any backend; without one they run in this process on the serial
+    backend's loop.  Either way results come back in submission order
+    and ``on_result(index, result)``/``cancel``/``collect`` behave as
+    on :meth:`ExperimentRunner.map`.
+    """
+    if share and shares_generator(seed, runner):
+        # repro: allow[SEED002] legacy shared-generator contract
+        seeds: Sequence[Any] = [seed] * len(unit_args)
+    else:
+        seeds = spawn_sequences(seed, len(unit_args)) if unit_args else []
+    units = [(*args, unit_seed) for args, unit_seed in zip(unit_args, seeds)]
+    if runner is not None:
+        return runner.map(
+            fn, units, on_result=on_result, cancel=cancel, collect=collect
+        )
+    return SerialBackend._run_units(
+        [WorkUnit(index=i, fn=fn, args=args) for i, args in enumerate(units)],
+        on_result,
+        cancel,
+        collect,
+    )
+
+
+def replicate(
+    fn: Callable[..., Any],
+    replications: int,
+    seed: SeedLike = None,
+    runner: Optional["ExperimentRunner"] = None,
+    *,
+    common_args: Tuple[Any, ...] = (),
+    batch_size: Optional[int] = None,
+    shared_batches: bool = False,
+    on_result: Optional[Callable[[int, Any], None]] = None,
+    cancel: Optional[Any] = None,
+    collect: bool = True,
+) -> List[Any]:
+    """Run ``replications`` replications of ``fn`` through :func:`run_units`.
+
+    Scalar units are called as ``fn(*common_args, rng)``, one per
+    replication.  With ``batch_size`` the replications split into
+    ``ceil(R / batch_size)`` batch units — full batches plus a ragged
+    tail — called as ``fn(*common_args, size, rng)``; hooks then observe
+    one unit (one batch) per call.  Batch units spawn their seeds even
+    from a shared generator unless ``shared_batches`` is set, so
+    ``batch_size=1`` units receive exactly the scalar path's spawned
+    seeds.
+
+    Raises:
+        TypeError: If ``replications`` or ``batch_size`` is not an
+            integer.
+        ValueError: If either is ``< 1``.
+    """
+    validate_batch_args(replications, batch_size)
+    if batch_size is None:
+        unit_args = [(fn, *common_args)] * replications
+    else:
+        unit_args = [
+            (fn, *common_args, size)
+            for size in batch_unit_sizes(replications, batch_size)
+        ]
+    return run_units(
+        _call_with_generator,
+        unit_args,
+        seed,
+        runner,
+        share=batch_size is None or shared_batches,
+        on_result=on_result,
+        cancel=cancel,
+        collect=collect,
+    )
 
 
 class ExperimentRunner:
@@ -258,12 +364,15 @@ class ExperimentRunner:
                 streaming knobs — see :meth:`map`.
 
         Raises:
+            TypeError: If ``replications`` is not an integer.
             ValueError: If ``replications < 1``.
         """
-        sequences = spawn_sequences(as_seed_sequence(seed), replications)
-        return self.map(
-            _call_with_generator,
-            [(fn, seq, common_args) for seq in sequences],
+        return replicate(
+            fn,
+            replications,
+            seed,
+            self,
+            common_args=common_args,
             on_result=on_result,
             cancel=cancel,
             collect=collect,
@@ -302,15 +411,13 @@ class ExperimentRunner:
                 integer.
             ValueError: If either is ``< 1``.
         """
-        validate_batch_args(replications, batch_size)
-        sizes = batch_unit_sizes(replications, batch_size)
-        sequences = spawn_sequences(as_seed_sequence(seed), len(sizes))
-        return self.map(
-            _call_with_generator,
-            [
-                (fn, seq, (*common_args, size))
-                for size, seq in zip(sizes, sequences)
-            ],
+        return replicate(
+            fn,
+            replications,
+            seed,
+            self,
+            common_args=common_args,
+            batch_size=batch_size,
             on_result=on_result,
             cancel=cancel,
             collect=collect,

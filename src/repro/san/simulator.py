@@ -403,7 +403,7 @@ class SANSimulator:
         stop: Optional[Callable[[SANMarking], bool]],
         rng: np.random.Generator,
     ) -> SimulationRun:
-        """Runner work unit: one replication on its own generator."""
+        """Replication-loop unit: one replication on ``rng``."""
         return self.simulate(horizon, rng, stop=stop)
 
     def batch(
@@ -441,31 +441,18 @@ class SANSimulator:
                 integer.
             ValueError: If ``replications < 1`` or ``batch_size < 1``.
         """
-        from repro.exec import ExperimentRunner, validate_batch_args
+        from repro.exec import replicate
 
-        validate_batch_args(replications, batch_size)
-        if batch_size is None:
-            if runner is None and isinstance(rng, np.random.Generator):
-                return [
-                    self.simulate(horizon, rng, stop=stop)
-                    for _ in range(replications)
-                ]
-            active = runner or ExperimentRunner()
-            return active.run_replications(
-                self._replicate,
-                replications,
-                seed=rng,
-                common_args=(horizon, stop),
-            )
-        active = runner or ExperimentRunner()
-        batches = active.run_batched_replications(
-            self._batch_unit,
+        unit = self._replicate if batch_size is None else self._batch_unit
+        runs = replicate(
+            unit,
             replications,
-            batch_size,
-            seed=rng,
+            rng,
+            runner,
             common_args=(horizon, stop),
+            batch_size=batch_size,
         )
-        return [run for unit in batches for run in unit]
+        return runs if batch_size is None else [r for b in runs for r in b]
 
     def _batch_unit(
         self,

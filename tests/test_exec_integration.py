@@ -221,3 +221,54 @@ class TestDiversityStudyBackendOption:
         serial = build("serial").execute(np.random.default_rng(42))
         threaded = build("thread", 4).execute(np.random.default_rng(42))
         assert serial.measurement.records == threaded.measurement.records
+
+
+def _campaign():
+    return AttackCampaign(
+        scope_cooling_topology(),
+        default_catalog(),
+        stuxnet_like(),
+        FAST_CONFIG,
+    )
+
+
+ENTRY_POINTS = {
+    "run_batch": lambda n: _campaign().run_batch(n, 3),
+    "run_batch_table": lambda n: _campaign().run_batch_table(n, 3),
+    "MeasurementPlan": lambda n: _small_plan(replications=n).execute(3),
+    "SANSimulator.batch": lambda n: SANSimulator(_chain_model()).batch(
+        50.0, n, 3
+    ),
+}
+
+
+class TestReplicationCountValidation:
+    """Every entry point validates the replication count the same way."""
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize(
+        "count, error",
+        [(True, TypeError), (2.0, TypeError), ("3", TypeError),
+         (0, ValueError), (-1, ValueError)],
+    )
+    def test_rejects_bad_counts(self, entry, count, error):
+        with pytest.raises(error, match="replications must be"):
+            ENTRY_POINTS[entry](count)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_numpy_integer_counts_accepted(self, entry):
+        ENTRY_POINTS[entry](np.int64(2))
+
+
+class TestAggregatorContract:
+    def test_non_column_aggregator_rejected_before_any_replication(self):
+        campaign = _campaign()
+        calls = []
+        original = campaign.run
+        campaign.run = lambda rng: calls.append(1) or original(rng)
+        for aggregator in (lambda row: None, object()):
+            with pytest.raises(TypeError, match="observe_columns"):
+                campaign.run_batch_table(
+                    3, 5, aggregators=(aggregator,), max_records_in_ram=2
+                )
+        assert calls == []
