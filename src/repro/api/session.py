@@ -35,7 +35,11 @@ from repro.api.result import CampaignRunResult, RunResult
 from repro.attacks.campaign import AttackCampaign
 from repro.core.study import DiversityStudy, StudyResult
 from repro.exec.resilience import RetryPolicy
-from repro.exec.runner import ExperimentRunner
+from repro.exec.runner import (
+    ExperimentRunner,
+    batch_unit_sizes,
+    validate_batch_args,
+)
 from repro.exec.seeding import SeedLike, as_seed_sequence
 from repro.faults import FaultPlan, plan_from_env
 from repro.results import (
@@ -91,7 +95,7 @@ class Session:
             :class:`~repro.exec.runner.ExperimentRunner`); mostly for
             tests that want fine-grained job progress.
         telemetry: Observability for this session's runs.  ``False``
-            (default) is a no-op fast path; ``True`` records a fresh
+            (default) records nothing; ``True`` records a fresh
             span/metric/event snapshot per run and attaches it to the
             result (``result.telemetry``); ``"cprofile"`` /
             ``"tracemalloc"`` additionally profile each work unit; a
@@ -305,6 +309,26 @@ class Session:
             },
         )
 
+    @staticmethod
+    def _observed(
+        telemetry: Optional[Telemetry],
+        span: str,
+        produce: Callable[[], Any],
+    ) -> Any:
+        """``produce()`` under ``telemetry`` (if any), inside span
+        ``span``, with the run's snapshot attached to the result — and,
+        for a suite, to each of its scenario results."""
+        if telemetry is None:
+            return produce()
+        with telemetry.activate(), telemetry.span(span):
+            result = produce()
+        snapshot = telemetry.snapshot()
+        result.telemetry = snapshot
+        if isinstance(result, SuiteResult):
+            for scenario_result in result.results:
+                scenario_result.telemetry = snapshot
+        return result
+
     # ---- synchronous execution ------------------------------------------
 
     def run(
@@ -355,6 +379,28 @@ class Session:
             :class:`~repro.api.result.RunResult` and carry provenance.
         """
         self._ensure_open()
+        _, _, produce = self._suite_producer(
+            target, seed, shard, batch_size, on_error, journal
+        )
+        return self._observed(
+            self._telemetry_for_run("session.run"), "session.run", produce
+        )
+
+    def _suite_producer(
+        self,
+        target: TargetLike,
+        seed: Optional[SeedLike],
+        shard: Optional[tuple],
+        batch_size: Optional[int],
+        on_error: str,
+        journal: Optional[Any],
+    ) -> Tuple[List[str], int, Callable[..., RunResult]]:
+        """Resolve one run call; return its scenario names, its unit
+        count (scenarios in the shard) and
+        ``produce(on_result=None, cancel=None)``.
+
+        :meth:`run` and :meth:`submit` share it, so the sync and job
+        paths resolve and run the identical suite."""
         scenarios, is_suite = self._resolve_targets(target)
         if shard is not None and not is_suite:
             raise ValueError(
@@ -364,29 +410,26 @@ class Session:
         suite = self._suite(scenarios, shard=shard)
         run_seed = self._effective_seed(seed, target)
         run_batch = self._effective_batch_size(batch_size, target)
-        telemetry = self._telemetry_for_run("session.run")
-        if telemetry is None:
-            suite_result = suite.run(
+
+        def produce(
+            on_result: Optional[Callable[..., None]] = None,
+            cancel: Optional[Any] = None,
+        ) -> RunResult:
+            result = suite.run(
                 seed=run_seed,
+                on_result=on_result,
+                cancel=cancel,
                 batch_size=run_batch,
                 on_error=on_error,
                 journal=journal,
             )
-        else:
-            with telemetry.activate(), telemetry.span("session.run"):
-                suite_result = suite.run(
-                    seed=run_seed,
-                    batch_size=run_batch,
-                    on_error=on_error,
-                    journal=journal,
-                )
-            snapshot = telemetry.snapshot()
-            suite_result.telemetry = snapshot
-            for scenario_result in suite_result.results:
-                scenario_result.telemetry = snapshot
-        if is_suite:
-            return suite_result
-        return self._single_result(suite_result)
+            return result if is_suite else self._single_result(result)
+
+        total = len(scenarios)
+        if shard is not None:
+            index, count = shard
+            total = len(range(index, len(scenarios), count))
+        return [s.name for s in scenarios], total, produce
 
     @staticmethod
     def _single_result(suite_result: SuiteResult) -> ScenarioRunResult:
@@ -415,13 +458,11 @@ class Session:
         scenario = self._resolve_one(target)
         study = DiversityStudy.from_scenario(scenario, runner=self.runner)
         run_seed = self._effective_seed(seed, target)
-        telemetry = self._telemetry_for_run("session.full_study")
-        if telemetry is None:
-            return study.execute(run_seed)
-        with telemetry.activate(), telemetry.span("session.full_study"):
-            result = study.execute(run_seed)
-        result.telemetry = telemetry.snapshot()
-        return result
+        return self._observed(
+            self._telemetry_for_run("session.full_study"),
+            "session.full_study",
+            lambda: study.execute(run_seed),
+        )
 
     def campaign(
         self,
@@ -467,16 +508,14 @@ class Session:
             runner.
         """
         self._ensure_open()
-        _, produce = self._campaign_producer(
+        _, _, produce = self._campaign_producer(
             target, replications, seed, stream, max_records_in_ram, batch_size
         )
-        telemetry = self._telemetry_for_run("session.campaign")
-        if telemetry is None:
-            return produce()
-        with telemetry.activate(), telemetry.span("session.campaign"):
-            result = produce()
-        result.telemetry = telemetry.snapshot()
-        return result
+        return self._observed(
+            self._telemetry_for_run("session.campaign"),
+            "session.campaign",
+            produce,
+        )
 
     @staticmethod
     def _effective_stream_bound(
@@ -500,8 +539,9 @@ class Session:
         stream: bool,
         max_records_in_ram: Optional[int],
         batch_size: Optional[int],
-    ) -> Tuple[Scenario, Callable[..., CampaignRunResult]]:
-        """Resolve one campaign call; return its scenario and
+    ) -> Tuple[Scenario, int, Callable[..., CampaignRunResult]]:
+        """Resolve one campaign call; return its scenario, its unit
+        count (replications, or batch units) and
         ``produce(on_result=None, cancel=None)``.
 
         :meth:`campaign` and :meth:`submit_campaign` share it, so the
@@ -519,11 +559,14 @@ class Session:
         )
         bound = self._effective_stream_bound(stream, max_records_in_ram)
         effective_batch = self._effective_batch_size(batch_size, target)
+        validate_batch_args(replications, effective_batch)
+        total = replications
         execution: Dict[str, Any] = {}
         if bound is not None:
             execution.update(stream=True, max_records_in_ram=bound)
         if effective_batch is not None:
             execution["batch_size"] = effective_batch
+            total = len(batch_unit_sizes(replications, effective_batch))
 
         def produce(
             on_result: Optional[Callable[[int], None]] = None,
@@ -563,7 +606,7 @@ class Session:
                 aggregate=aggregate,
             )
 
-        return scenario, produce
+        return scenario, total, produce
 
     # ---- asynchronous execution -----------------------------------------
 
@@ -590,50 +633,19 @@ class Session:
         arguments resumes from its last completed scenario.
         """
         self._ensure_open()
-        scenarios, is_suite = self._resolve_targets(target)
-        if shard is not None and not is_suite:
-            raise ValueError(
-                "shard= requires a suite (a sequence of targets); a "
-                "single scenario cannot be sharded"
-            )
-        suite = self._suite(scenarios, shard=shard)
-        run_seed = self._effective_seed(seed, target)
-        run_batch = self._effective_batch_size(batch_size, target)
-        names = ", ".join(s.name for s in scenarios)
+        names, total, produce = self._suite_producer(
+            target, seed, shard, batch_size, on_error, journal
+        )
 
         def body(job: JobHandle) -> RunResult:
-            telemetry = job._telemetry
-            if telemetry is None:
-                result = suite.run(
-                    seed=run_seed,
-                    on_result=job._advance,
-                    cancel=job._cancel_event,
-                    batch_size=run_batch,
-                    on_error=on_error,
-                    journal=journal,
-                )
-                return result if is_suite else self._single_result(result)
-            with telemetry.activate(), telemetry.span("session.run"):
-                result = suite.run(
-                    seed=run_seed,
-                    on_result=job._advance,
-                    cancel=job._cancel_event,
-                    batch_size=run_batch,
-                    on_error=on_error,
-                    journal=journal,
-                )
-            snapshot = telemetry.snapshot()
-            result.telemetry = snapshot
-            for scenario_result in result.results:
-                scenario_result.telemetry = snapshot
-            return result if is_suite else self._single_result(result)
+            return self._observed(
+                job._telemetry,
+                "session.run",
+                lambda: produce(job._advance, job._cancel_event),
+            )
 
-        total = len(scenarios)
-        if shard is not None:
-            index, count = shard
-            total = len(range(index, len(scenarios), count))
         return self._submit_job(
-            description or f"run: {names}", total, body,
+            description or f"run: {', '.join(names)}", total, body,
             telemetry=self._telemetry_for_run("session.submit"),
         )
 
@@ -648,30 +660,28 @@ class Session:
         max_records_in_ram: Optional[int] = None,
         batch_size: Optional[int] = None,
     ) -> JobHandle:
-        """Queue a campaign batch; progress counts replications
-        (one advance per mega-batch unit when ``batch_size`` is set).
+        """Queue a campaign batch; progress counts replications, or
+        mega-batch units when ``batch_size`` is set.
 
         ``stream=`` / ``max_records_in_ram=`` / ``batch_size=`` behave
         exactly as on the synchronous :meth:`campaign`.
         """
         self._ensure_open()
-        scenario, produce = self._campaign_producer(
+        scenario, total, produce = self._campaign_producer(
             target, replications, seed, stream, max_records_in_ram, batch_size
         )
 
         def body(job: JobHandle) -> CampaignRunResult:
-            telemetry = job._telemetry
-            if telemetry is None:
-                return produce(job._advance, job._cancel_event)
-            with telemetry.activate(), telemetry.span("session.campaign"):
-                result = produce(job._advance, job._cancel_event)
-            result.telemetry = telemetry.snapshot()
-            return result
+            return self._observed(
+                job._telemetry,
+                "session.campaign",
+                lambda: produce(job._advance, job._cancel_event),
+            )
 
         return self._submit_job(
             description
             or f"campaign: {scenario.name} x{replications}",
-            replications,
+            total,
             body,
             telemetry=self._telemetry_for_run("session.submit_campaign"),
         )

@@ -340,7 +340,7 @@ class MeasurementPlan:
             provenance = provenance_for(
                 self.spec_payload(),
                 root,
-                runner or ExperimentRunner(),
+                runner,
                 source="measurement_plan",
                 execution=execution,
             )

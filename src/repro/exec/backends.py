@@ -30,7 +30,9 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.exec.resilience import (
@@ -80,32 +82,17 @@ class WorkUnit:
     args: Tuple[Any, ...] = ()
 
 
-def _execute_units(
-    chunk: Sequence[WorkUnit], fault_plan: Optional[Any], attempt: int
-) -> List[Tuple[int, Any]]:
-    """Run a chunk's units in order, firing any injected faults first.
-
-    Worker-side.  ``fault_plan`` is a duck-typed
-    :class:`~repro.faults.FaultPlan` (``None`` on every normal run);
-    ``attempt`` is the chunk's dispatch attempt, which ages out
-    attempt-gated faults so retries converge.
-    """
-    if fault_plan is None:
-        return [(unit.index, unit.fn(*unit.args)) for unit in chunk]
-    pairs: List[Tuple[int, Any]] = []
-    for unit in chunk:
-        fault_plan.apply_unit_faults(unit.index, attempt)
-        pairs.append((unit.index, unit.fn(*unit.args)))
-    return pairs
-
-
 def run_chunk(
     chunk: Sequence[WorkUnit],
-    fault_plan: Optional[Any] = None,
     attempt: int = 0,
+    fault_plan: Optional[Any] = None,
+    spec: Optional[Dict[str, Any]] = None,
 ) -> Any:
-    """Execute a chunk of units sequentially (worker-side entry point).
+    """Execute a chunk of units in order (the worker-side entry point).
 
+    ``fault_plan`` is a duck-typed :class:`~repro.faults.FaultPlan`
+    (``None`` on every normal run); ``attempt`` is the chunk's dispatch
+    attempt, which ages out attempt-gated faults so retries converge.
     Any exception escaping a work function is stamped with its
     formatted worker-side traceback (see
     :func:`~repro.exec.resilience.attach_remote_traceback`) so the
@@ -114,10 +101,27 @@ def run_chunk(
     with a :class:`~repro.exec.resilience.CorruptChunkPayload`
     sentinel, which the coordinator's validation rejects.
 
+    With a telemetry ``spec`` (the coordinator's
+    :meth:`~repro.telemetry.Telemetry.worker_spec`) the chunk runs under
+    a fresh worker-side :class:`Telemetry` and the payload becomes
+    ``(payload, delta)``, the serialized delta for the coordinator to
+    merge in submission order.  Telemetry never touches RNG state, so
+    the results are identical either way.
+
     Module-level so :class:`ProcessBackend` can pickle it.
     """
+    if spec is not None:
+        telemetry = Telemetry(profile=spec.get("profile"))
+        with telemetry.activate(), telemetry.profile_scope():
+            with telemetry.tracer.span("exec.chunk"):
+                payload = run_chunk(chunk, attempt, fault_plan)
+        return payload, telemetry.delta()
+    pairs: List[Tuple[int, Any]] = []
     try:
-        pairs = _execute_units(chunk, fault_plan, attempt)
+        for unit in chunk:
+            if fault_plan is not None:
+                fault_plan.apply_unit_faults(unit.index, attempt)
+            pairs.append((unit.index, unit.fn(*unit.args)))
     except BaseException as exc:
         raise attach_remote_traceback(exc)
     if fault_plan is not None:
@@ -127,39 +131,6 @@ def run_chunk(
         if corrupted is not None:
             return corrupted
     return pairs
-
-
-def run_chunk_captured(
-    chunk: Sequence[WorkUnit],
-    spec: Dict[str, Any],
-    fault_plan: Optional[Any] = None,
-    attempt: int = 0,
-) -> Tuple[Any, Dict[str, Any]]:
-    """Execute a chunk under a fresh worker-side telemetry capture.
-
-    Used by the pool backends when the coordinator has telemetry
-    active: the chunk runs with its own :class:`Telemetry` installed
-    (spans/metrics recorded by the work functions land there) and the
-    serialized delta travels back with the results for the coordinator
-    to merge in submission order.  Telemetry never touches RNG state,
-    so the results are bit-identical to the uncaptured path.
-
-    Module-level so :class:`ProcessBackend` can pickle it.
-    """
-    telemetry = Telemetry(profile=spec.get("profile"))
-    with telemetry.activate(), telemetry.profile_scope():
-        with telemetry.tracer.span("exec.chunk"):
-            try:
-                pairs = _execute_units(chunk, fault_plan, attempt)
-            except BaseException as exc:
-                raise attach_remote_traceback(exc)
-        if fault_plan is not None:
-            corrupted = fault_plan.corrupt_chunk(
-                (unit.index for unit in chunk), attempt
-            )
-            if corrupted is not None:
-                pairs = corrupted
-    return pairs, telemetry.delta()
 
 
 def make_chunks(
@@ -201,11 +172,11 @@ class ExecutionBackend:
     accumulates per unit.
 
     ``telemetry`` (optional) is the coordinator's active
-    :class:`~repro.telemetry.Telemetry`.  Pool backends then dispatch
-    chunks through :func:`run_chunk_captured`, record per-chunk wait
-    times (``exec.chunk_wait_ms``) and fold each worker delta back in
+    :class:`~repro.telemetry.Telemetry`.  Pool backends then hand
+    :func:`run_chunk` its worker spec, record per-chunk wait times
+    (``exec.chunk_wait_ms``) and fold each worker delta back in
     submission order; the serial backend applies the opt-in profiler
-    in-process.  ``None`` (the default) is the untouched fast path.
+    in-process.
 
     ``retry`` (optional) is a
     :class:`~repro.exec.resilience.RetryPolicy` governing transient
@@ -245,7 +216,17 @@ class ExecutionBackend:
 
 
 class SerialBackend(ExecutionBackend):
-    """The reference backend: an in-order, in-process loop."""
+    """The reference backend: an in-order, in-process loop.
+
+    Each unit gets the per-unit analogue of the pool backends'
+    :class:`~repro.exec.resilience.ChunkDispatcher` retry: a retried
+    unit re-runs ``unit.fn(*unit.args)`` verbatim (its seed material
+    lives in ``args``), so results stay bit-identical to a fault-free
+    pass.  ``retry=None`` runs :data:`LEGACY_POLICY` (one attempt).
+    Corruption faults do not apply serially (there is no transport to
+    corrupt) and injected kills are demoted to transient crashes by the
+    plan itself.
+    """
 
     name = "serial"
 
@@ -261,108 +242,52 @@ class SerialBackend(ExecutionBackend):
         retry: Optional[RetryPolicy] = None,
         fault_plan: Optional[Any] = None,
     ) -> List[Any]:
-        # Serial units record spans/metrics inline on the already-active
-        # telemetry; only the opt-in profiler needs wrapping here.
-        if retry is None and fault_plan is None:
-            runner = lambda: self._run_units(  # noqa: E731
-                units, on_result, cancel, collect
-            )
-        else:
-            policy = retry if retry is not None else LEGACY_POLICY
-            runner = lambda: self._run_units_resilient(  # noqa: E731
-                units, on_result, cancel, collect, policy, fault_plan
-            )
-        if telemetry is not None and telemetry.profile is not None:
-            with telemetry.profile_scope():
-                return runner()
-        return runner()
-
-    @staticmethod
-    def _run_units(
-        units: Sequence[WorkUnit],
-        on_result: Optional[ResultCallback],
-        cancel: Optional[Any],
-        collect: bool,
-    ) -> List[Any]:
-        if on_result is None and cancel is None and collect:
-            return [unit.fn(*unit.args) for unit in units]
-        results: List[Any] = []
-        done = 0
-        for unit in units:
-            if cancel is not None and cancel.is_set():
-                raise ExecutionCancelled(
-                    f"batch cancelled after {done} of "
-                    f"{len(units)} units"
-                )
-            result = unit.fn(*unit.args)
-            done += 1
-            if collect:
-                results.append(result)
-            if on_result is not None:
-                on_result(unit.index, result)
-        return results
-
-    @staticmethod
-    def _run_units_resilient(
-        units: Sequence[WorkUnit],
-        on_result: Optional[ResultCallback],
-        cancel: Optional[Any],
-        collect: bool,
-        policy: RetryPolicy,
-        fault_plan: Optional[Any],
-    ) -> List[Any]:
-        """Per-unit retry loop (the serial analogue of the pool
-        backends' :class:`~repro.exec.resilience.ChunkDispatcher`).
-
-        A retried unit re-runs ``unit.fn(*unit.args)`` verbatim — its
-        seed material lives in ``args`` — so results stay bit-identical
-        to a fault-free pass.  Corruption faults do not apply serially
-        (there is no transport to corrupt) and injected kills are
-        demoted to transient crashes by the plan itself.
-        """
+        policy = retry if retry is not None else LEGACY_POLICY
         jitter_rng = (
             policy.jitter_generator() if policy.max_attempts > 1 else None
         )
+        # Serial units record spans/metrics inline on the already-active
+        # telemetry; only the opt-in profiler needs wrapping here.
+        scope = (
+            nullcontext() if telemetry is None else telemetry.profile_scope()
+        )
         results: List[Any] = []
-        done = 0
-        for unit in units:
-            if cancel is not None and cancel.is_set():
-                raise ExecutionCancelled(
-                    f"batch cancelled after {done} of "
-                    f"{len(units)} units"
-                )
-            attempt = 0
-            retries = 0
-            while True:
-                try:
-                    if fault_plan is not None:
-                        fault_plan.apply_unit_faults(unit.index, attempt)
-                    result = unit.fn(*unit.args)
-                    break
-                except Exception as exc:
-                    if not (
-                        policy.is_transient(exc)
-                        and attempt + 1 < policy.max_attempts
-                    ):
-                        raise
-                    delay = policy.delay_s(retries, jitter_rng)
-                    retries += 1
-                    attempt += 1
-                    metric_inc("retry.attempts")
-                    metric_observe("retry.backoff_ms", delay * 1000.0)
-                    _LOG.warning(
-                        "transient failure in unit %d (%s); retrying "
-                        "in %.3gs (attempt %d of %d)",
-                        unit.index, exc, delay,
-                        attempt + 1, policy.max_attempts,
+        with scope:
+            for done, unit in enumerate(units):
+                if cancel is not None and cancel.is_set():
+                    raise ExecutionCancelled(
+                        f"batch cancelled after {done} of "
+                        f"{len(units)} units"
                     )
-                    if delay > 0:
-                        time.sleep(delay)
-            done += 1
-            if collect:
-                results.append(result)
-            if on_result is not None:
-                on_result(unit.index, result)
+                attempt = 0
+                while True:
+                    try:
+                        if fault_plan is not None:
+                            fault_plan.apply_unit_faults(unit.index, attempt)
+                        result = unit.fn(*unit.args)
+                        break
+                    except Exception as exc:
+                        if not (
+                            policy.is_transient(exc)
+                            and attempt + 1 < policy.max_attempts
+                        ):
+                            raise
+                        delay = policy.delay_s(attempt, jitter_rng)
+                        attempt += 1
+                        metric_inc("retry.attempts")
+                        metric_observe("retry.backoff_ms", delay * 1000.0)
+                        _LOG.warning(
+                            "transient failure in unit %d (%s); retrying "
+                            "in %.3gs (attempt %d of %d)",
+                            unit.index, exc, delay,
+                            attempt + 1, policy.max_attempts,
+                        )
+                        if delay > 0:
+                            time.sleep(delay)
+                if collect:
+                    results.append(result)
+                if on_result is not None:
+                    on_result(unit.index, result)
         return results
 
 
@@ -373,24 +298,14 @@ class _PoolBackend(ExecutionBackend):
     :class:`~repro.exec.resilience.ChunkDispatcher`, which layers
     retry/watchdog/pool-respawn semantics over the pool while
     preserving the submission-order deterministic merge.
-
-    Args:
-        poll_interval: Seconds between cancellation and watchdog checks
-            while waiting on an in-flight chunk.  Without a cancel
-            event or watchdog the wait is a plain block and this knob
-            is idle.
     """
 
     #: Whether a dead pool can be replaced by a fresh one (process
     #: pools; thread pools do not die this way).
     can_respawn: bool = False
-
-    def __init__(self, poll_interval: float = _CANCEL_POLL_S) -> None:
-        if poll_interval <= 0:
-            raise ValueError(
-                f"poll_interval must be positive, got {poll_interval}"
-            )
-        self.poll_interval = poll_interval
+    #: Seconds between cancellation and watchdog checks while waiting
+    #: on an in-flight chunk.
+    poll_interval: float = _CANCEL_POLL_S
 
     def _make_executor(self, n_workers: int) -> Executor:
         raise NotImplementedError
@@ -415,21 +330,6 @@ class _PoolBackend(ExecutionBackend):
         collected: Dict[int, Any] = {}
         done = [0]
 
-        if spec is None:
-            def submit_chunk(pool, chunk, attempt):
-                return pool.submit(run_chunk, chunk, fault_plan, attempt)
-
-            def run_inline(chunk, attempt):
-                return run_chunk(chunk, fault_plan, attempt)
-        else:
-            def submit_chunk(pool, chunk, attempt):
-                return pool.submit(
-                    run_chunk_captured, chunk, spec, fault_plan, attempt
-                )
-
-            def run_inline(chunk, attempt):
-                return run_chunk_captured(chunk, spec, fault_plan, attempt)
-
         def validate(payload):
             if spec is not None:
                 payload, delta = payload
@@ -449,8 +349,7 @@ class _PoolBackend(ExecutionBackend):
         dispatcher = ChunkDispatcher(
             make_executor=lambda: self._make_executor(n_workers),
             chunks=chunks,
-            submit_chunk=submit_chunk,
-            run_inline=run_inline,
+            run_chunk=partial(run_chunk, fault_plan=fault_plan, spec=spec),
             validate=validate,
             policy=policy,
             poll_interval=self.poll_interval,

@@ -284,11 +284,10 @@ class ChunkDispatcher:
             re-dispatched chunk reuses these exact
             :class:`~repro.exec.backends.WorkUnit` objects and
             therefore their original seed material).
-        submit_chunk: ``(pool, chunk, attempt) -> Future`` — how one
-            chunk is put on a pool (the backend chooses the worker
-            entry point and threads the fault plan through).
-        run_inline: ``(chunk, attempt) -> payload`` — coordinator-side
-            execution of one chunk, used by the degradation ladder.
+        run_chunk: ``(chunk, attempt) -> payload`` — the picklable
+            worker entry point (the backend binds the fault plan and
+            telemetry spec); submitted to the pool, or called in the
+            coordinator by the degradation ladder.
         policy: The :class:`RetryPolicy` in force.
         poll_interval: Seconds between cancellation/watchdog checks
             while waiting on an in-flight chunk.
@@ -310,8 +309,7 @@ class ChunkDispatcher:
         self,
         make_executor: Callable[[], Any],
         chunks: Sequence[Sequence[Any]],
-        submit_chunk: Callable[[Any, Sequence[Any], int], Future],
-        run_inline: Callable[[Sequence[Any], int], Any],
+        run_chunk: Callable[[Sequence[Any], int], Any],
         validate: Callable[[Any], List[Tuple[int, Any]]],
         policy: RetryPolicy,
         poll_interval: float,
@@ -323,8 +321,7 @@ class ChunkDispatcher:
     ) -> None:
         self._make_executor = make_executor
         self._chunks = chunks
-        self._submit_chunk = submit_chunk
-        self._run_inline = run_inline
+        self._run_chunk = run_chunk
         self._validate = validate
         self._policy = policy
         self._poll_interval = poll_interval
@@ -349,8 +346,8 @@ class ChunkDispatcher:
     # ---- submission --------------------------------------------------
 
     def _submit(self, index: int) -> None:
-        self._futures[index] = self._submit_chunk(
-            self._pool, self._chunks[index], self._attempts[index]
+        self._futures[index] = self._pool.submit(
+            self._run_chunk, self._chunks[index], self._attempts[index]
         )
 
     # ---- public collection loop --------------------------------------
@@ -569,7 +566,7 @@ class ChunkDispatcher:
                 )
             try:
                 return self._validate(
-                    self._run_inline(
+                    self._run_chunk(
                         self._chunks[index], self._attempts[index]
                     )
                 )

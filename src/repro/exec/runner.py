@@ -25,7 +25,12 @@ from repro.exec.backends import (
 )
 from repro.exec.resilience import RetryPolicy
 from repro.exec.seeding import SeedLike, spawn_sequences
-from repro.telemetry.core import current as _current_telemetry
+from repro.telemetry.core import (
+    current as _current_telemetry,
+    metric_gauge,
+    metric_inc,
+    trace,
+)
 
 _LOG = logging.getLogger(__name__)
 
@@ -129,11 +134,13 @@ def run_units(
         return runner.map(
             fn, units, on_result=on_result, cancel=cancel, collect=collect
         )
-    return SerialBackend._run_units(
+    return SerialBackend().run(
         [WorkUnit(index=i, fn=fn, args=args) for i, args in enumerate(units)],
-        on_result,
-        cancel,
-        collect,
+        1,
+        1,
+        on_result=on_result,
+        cancel=cancel,
+        collect=collect,
     )
 
 
@@ -306,23 +313,11 @@ class ExperimentRunner:
             len(units), n_chunks, self.backend.name, self.n_workers,
         )
         telemetry = _current_telemetry()
-        if telemetry is None:
-            return self.backend.run(
-                units,
-                self.n_workers,
-                chunk,
-                on_result=on_result,
-                cancel=cancel,
-                collect=collect,
-                retry=self.retry,
-                fault_plan=self.fault_plan,
-            )
-        with telemetry.span("exec.map"):
-            metrics = telemetry.metrics
-            metrics.inc("exec.dispatches")
-            metrics.inc("exec.units", len(units))
-            metrics.inc("exec.chunks", n_chunks)
-            metrics.gauge("exec.n_workers", self.n_workers)
+        with trace("exec.map"):
+            metric_inc("exec.dispatches")
+            metric_inc("exec.units", len(units))
+            metric_inc("exec.chunks", n_chunks)
+            metric_gauge("exec.n_workers", self.n_workers)
             return self.backend.run(
                 units,
                 self.n_workers,

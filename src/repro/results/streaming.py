@@ -974,13 +974,11 @@ class StreamingSummary:
     """Running ``summarize_records``-shaped summary over record streams.
 
     One :class:`RunningStats` (and optionally one
-    :class:`QuantileSketch`) per response column, fed row chunks as
-    they complete.  Registered directly on ``on_result`` hooks: the
-    instance is callable with every hook shape used in the library —
-    ``(index, result)`` from :class:`repro.exec.ExperimentRunner` /
-    backends, or ``(result,)`` from
-    :class:`~repro.scenarios.suite.ScenarioSuite` — and folds in
-    response rows, whole tables, or results carrying a ``.table``.
+    :class:`QuantileSketch`) per response column, fed column chunks as
+    they complete: :meth:`observe_columns` (the aggregator protocol of
+    :meth:`AttackCampaign.run_batch_table
+    <repro.attacks.campaign.AttackCampaign.run_batch_table>`) or
+    :meth:`observe_table` for a whole, possibly sharded, table.
 
     Args:
         columns: Tracked numeric columns (default: the library's
@@ -1013,13 +1011,6 @@ class StreamingSummary:
 
     # ---- observation -----------------------------------------------------
 
-    def observe_row(self, row: Sequence[float]) -> None:
-        """Fold in one response row (values in column order)."""
-        for name, value in zip(self.columns, row):
-            self.stats[name].update(value)
-            if self.sketches:
-                self.sketches[name].update(value)
-
     def observe_columns(
         self, columns: Mapping[str, Sequence[float]]
     ) -> None:
@@ -1040,35 +1031,6 @@ class StreamingSummary:
         for chunk in chunks:
             self.observe_columns(
                 {name: chunk.column(name) for name in self.columns}
-            )
-
-    def observe(self, payload: object) -> None:
-        """Fold in any result shape the hooks deliver."""
-        if isinstance(payload, RecordTable):
-            self.observe_table(payload)
-        elif hasattr(payload, "table"):
-            self.observe_table(payload.table)  # type: ignore[attr-defined]
-        elif isinstance(payload, Mapping):
-            self.observe_row(
-                [float(payload[name]) for name in self.columns]
-            )
-        elif isinstance(payload, (tuple, list, np.ndarray)):
-            self.observe_row(payload)  # type: ignore[arg-type]
-        else:
-            raise TypeError(
-                f"cannot aggregate result of type {type(payload).__name__}"
-            )
-
-    def __call__(self, *args: object) -> None:
-        # on_result hook adapter: (index, result) or (result,).
-        if len(args) == 2 and isinstance(args[0], int):
-            self.observe(args[1])
-        elif len(args) == 1:
-            self.observe(args[0])
-        else:
-            raise TypeError(
-                f"expected (index, result) or (result,), got {len(args)} "
-                "arguments"
             )
 
     # ---- read-out --------------------------------------------------------

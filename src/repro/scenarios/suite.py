@@ -768,17 +768,8 @@ class ScenarioSuite:
                     total=len(pairs),
                 )
 
-        def stamp(position: int, result: ScenarioRunResult) -> None:
-            """Attach reproduction provenance (before any hook sees it)."""
-            result.provenance = provenance_for(
-                {"scenario": spec_dicts[position]},
-                pairs[position][1],
-                self.runner,
-                source="scenario_suite",
-                execution=execution,
-            )
-
         errors_by_position: Dict[int, ScenarioFailure] = {}
+        results: List[Optional[ScenarioRunResult]] = [None] * len(pairs)
 
         def deliver(
             position: int,
@@ -786,9 +777,9 @@ class ScenarioSuite:
             key: str,
             executed: bool,
         ) -> None:
-            """Stream one finished outcome: stamp it, checkpoint it
-            (cache + journal), feed every hook.  Failures are recorded
-            and isolated instead."""
+            """Stream one finished outcome: stamp its provenance,
+            checkpoint it (cache + journal), feed every hook.  Failures
+            are recorded and isolated instead."""
             if isinstance(outcome, ScenarioFailure):
                 outcome.position = position
                 errors_by_position[position] = outcome
@@ -800,7 +791,14 @@ class ScenarioSuite:
                 )
                 _LOG.warning("%s (on_error=skip; continuing)", outcome)
                 return
-            stamp(position, outcome)
+            results[position] = outcome
+            outcome.provenance = provenance_for(
+                {"scenario": spec_dicts[position]},
+                pairs[position][1],
+                self.runner,
+                source="scenario_suite",
+                execution=execution,
+            )
             if executed and self.cache is not None:
                 self._store_in_cache(key, outcome)
             if journal is not None:
@@ -810,7 +808,6 @@ class ScenarioSuite:
             if on_result is not None:
                 on_result(outcome)
 
-        results: List[Optional[ScenarioRunResult]] = [None] * len(pairs)
         pending: List[Tuple[int, np.random.SeedSequence, str]] = []
         for position, (scenario, seq) in enumerate(pairs):
             if cancel is not None and cancel.is_set():
@@ -834,8 +831,12 @@ class ScenarioSuite:
                         "cache hit: scenario %s (key %.12s...)",
                         scenario.name, key,
                     )
-                    results[position] = self._result_from_cache(*hit)
-                    deliver(position, results[position], key, executed=False)
+                    deliver(
+                        position,
+                        self._result_from_cache(*hit),
+                        key,
+                        executed=False,
+                    )
                     continue
                 metric_inc("cache.miss")
                 _LOG.debug(
@@ -849,30 +850,21 @@ class ScenarioSuite:
                 if on_error == "raise"
                 else _execute_scenario_guarded
             )
-            unit_hook = None
             # Delivering as units complete (not after the whole map)
             # is what makes cache + journal real checkpoints: a crash
             # mid-suite keeps everything already finished.
-            if (
-                on_result is not None
-                or aggregators
-                or self.cache is not None
-                or journal is not None
-                or on_error == "skip"
-            ):
+            def unit_hook(
+                index: int,
+                outcome: "ScenarioRunResult | ScenarioFailure",
+            ) -> None:
+                deliver(
+                    pending[index][0],
+                    outcome,
+                    pending[index][2],
+                    executed=True,
+                )
 
-                def unit_hook(
-                    index: int,
-                    outcome: "ScenarioRunResult | ScenarioFailure",
-                ) -> None:
-                    deliver(
-                        pending[index][0],
-                        outcome,
-                        pending[index][2],
-                        executed=True,
-                    )
-
-            executed = self.runner.map(
+            self.runner.map(
                 worker,
                 [
                     (spec_dicts[position], seq, max_records_in_ram, batch_size)
@@ -881,13 +873,8 @@ class ScenarioSuite:
                 # repro: allow[PICKLE001] on_result runs in the coordinator process and is never pickled to workers
                 on_result=unit_hook,
                 cancel=cancel,
+                collect=False,
             )
-            for (position, _, key), outcome in zip(pending, executed):
-                if isinstance(outcome, ScenarioFailure):
-                    continue  # recorded by the hook
-                results[position] = outcome
-                if outcome.provenance is None:  # no hook stamped it
-                    stamp(position, outcome)
         if journal is not None:
             journal.finish()
         suite_aggregate = next(

@@ -13,6 +13,7 @@ import pytest
 
 from repro.api import JobCancelled, JobState, Session
 from repro.scenarios import SCENARIOS
+from repro.telemetry import Telemetry
 
 BACKENDS = ["serial", "thread", "process"]
 
@@ -64,6 +65,26 @@ class TestLifecycle:
             assert job.progress.total == 5
             assert job.progress.completed == 5
             assert len(result.table) == 5
+
+    @pytest.mark.parametrize(
+        "name, replications, batch_size",
+        [("smoke", 5, None), ("smoke", 5, 1), ("cooling_duqu", 2049, 512)],
+    )
+    def test_finished_campaign_job_is_complete(
+        self, name, replications, batch_size
+    ):
+        telemetry = Telemetry()
+        with Session(telemetry=telemetry) as session:
+            job = session.submit_campaign(
+                name, replications, seed=1, batch_size=batch_size
+            )
+            job.result()
+        assert job.progress.completed == job.progress.total
+        beats = [
+            event for event in telemetry.events
+            if event["kind"] == "job.heartbeat"
+        ]
+        assert beats[-1]["completed"] == beats[-1]["total"]
 
     def test_jobs_listing_and_wait(self):
         with Session() as session:

@@ -172,6 +172,11 @@ class TestMeasurementPlanDeterminism:
         assert len(result.records) == 4 * 3
         assert result.replications == 3
 
+    def test_in_process_provenance_records_the_serial_loop(self):
+        # No runner: one in-process loop ran, whatever the host's cores.
+        provenance = _small_plan(replications=1).execute(7).provenance
+        assert (provenance.backend, provenance.n_workers) == ("serial", 1)
+
 
 class TestSANBatchDeterminism:
     def _fingerprints(self, runs):

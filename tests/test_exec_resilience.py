@@ -1,7 +1,7 @@
 """Fault-tolerant execution: retry, watchdog, degradation, journal.
 
 Two tiers live here.  The fast tests pin the :class:`RetryPolicy`
-contract, remote-traceback transport, the ``poll_interval`` knob and
+contract, remote-traceback transport, the cancel poll interval and
 the suite-level failure isolation / run-journal plumbing.  The
 ``chaos``-marked tests inject real faults (crashes, hangs, worker
 kills) through :class:`repro.faults.FaultPlan` and pin the tentpole
@@ -26,11 +26,7 @@ from repro.exec import (
     RetryPolicy,
     TransientWorkerError,
 )
-from repro.exec.backends import (
-    ExecutionCancelled,
-    ProcessBackend,
-    ThreadBackend,
-)
+from repro.exec.backends import ExecutionCancelled, ThreadBackend
 from repro.exec.resilience import (
     LEGACY_POLICY,
     attach_remote_traceback,
@@ -147,13 +143,6 @@ class TestRemoteTraceback:
 
 
 class TestPollInterval:
-    def test_positive_validation(self):
-        for backend_cls in (ThreadBackend, ProcessBackend):
-            with pytest.raises(ValueError, match="poll_interval"):
-                backend_cls(poll_interval=0.0)
-            with pytest.raises(ValueError, match="poll_interval"):
-                backend_cls(poll_interval=-1.0)
-
     def test_default_matches_historic_50ms(self):
         assert ThreadBackend().poll_interval == pytest.approx(0.05)
 
@@ -161,7 +150,7 @@ class TestPollInterval:
         # A worker sets the cancel event and then keeps sleeping; the
         # coordinator must abandon the batch within a few poll periods
         # instead of draining the in-flight chunk.
-        backend = ThreadBackend(poll_interval=0.01)
+        backend = ThreadBackend()
         runner = ExperimentRunner(backend, n_workers=1, chunk_size=1)
         cancel = threading.Event()
         set_at = []

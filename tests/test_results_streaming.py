@@ -306,16 +306,6 @@ class TestStreamingSummary:
             summary.summary(), summarize_records(exact)
         )
 
-    def test_hook_shapes(self):
-        table = response_table(3, seed=12)
-        a, b = StreamingSummary(), StreamingSummary()
-        for i, row in enumerate(table.to_dicts()):
-            values = tuple(row[c] for c in RESPONSE_COLUMNS)
-            a(i, values)  # (index, result) exec-hook shape
-            b(values)  # bare-result shape
-        assert a.means() == b.means()
-        assert_summaries_close(a.summary(), summarize_records(table))
-
     def test_merge_matches_whole(self):
         table = response_table(120, seed=13)
         whole = StreamingSummary()
