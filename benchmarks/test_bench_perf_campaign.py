@@ -14,8 +14,10 @@ paths introduced by the tick-elision / columnar-results work:
   batch's replications).
 * ``perf_suite_run`` vs ``perf_suite_run_legacy`` — a three-scenario
   suite on the default specs and on ``tick_elision=False`` twins; each
-  round builds fresh campaigns internally, so this measures the cold
-  end-to-end pipeline including columnar aggregation and ANOVA.
+  round builds fresh campaigns internally (their healthy trajectories
+  come from the process-wide memo, warm after the first round), so
+  this measures the end-to-end pipeline including columnar aggregation
+  and ANOVA.
 * ``perf_suite_run_warm_cache`` — the same suite served from a
   populated content-addressed cache; paired against ``perf_suite_run``
   by ``repro.bench`` (suffix convention), it reports the warm/cold

@@ -574,9 +574,9 @@ class CampaignBatchEngine:
     def _healthy_finding_time(self) -> Optional[float]:
         """The shared healthy trajectory's first master finding time.
 
-        Scanned lazily in chunks (shared and cached campaign-wide);
-        ``None`` when the healthy plant never trips the master before
-        the horizon.
+        Scanned lazily in chunks (the trajectory is shared through the
+        process-wide memo); ``None`` when the healthy plant never trips
+        the master before the horizon.
         """
         traj = self.campaign._healthy_trajectory()
         while traj.first_finding is None and not traj.scan_exhausted:

@@ -32,13 +32,16 @@ from __future__ import annotations
 import bisect
 import copy
 import math
+import os
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.telemetry.core import current as _current_telemetry
+from repro.telemetry.core import metric_inc as _metric_inc
 from repro.telemetry.core import trace as _span
 
 if TYPE_CHECKING:  # avoid import cost on the hot serial path
@@ -68,8 +71,9 @@ class CampaignConfig:
     """Campaign simulation parameters.
 
     Attributes:
-        horizon: Simulation horizon (hours).
-        tick_interval: Plant/master polling period (hours).
+        horizon: Simulation horizon (hours); finite and > 0.
+        tick_interval: Plant/master polling period (hours); finite
+            and > 0.
         failed_attempt_noise: Baseline probability that one failed
             exploit attempt is noticed by host defenses.
         response_enabled: If True, incident response reacts to the first
@@ -86,8 +90,9 @@ class CampaignConfig:
             fast path (default).  Pre-sabotage plant/master ticks are
             rng-free and independent of the attack state, so they are
             served from one lazily-extended healthy trajectory shared
-            by every replication of the campaign; the per-tick loop
-            resumes bit-exactly when a controller is reprogrammed.
+            by every replication of every campaign with the same
+            plant content and tick grid; the per-tick loop resumes
+            bit-exactly when a controller is reprogrammed.
             ``False`` keeps the legacy per-tick loop — outcomes are
             identical either way for the same seed (see
             ``tests/test_campaign_tick_elision.py``).
@@ -102,6 +107,16 @@ class CampaignConfig:
         default=_default_plant
     )
     tick_elision: bool = True
+
+    def __post_init__(self) -> None:
+        # A non-positive or non-finite grid never reaches the horizon:
+        # the tick chain would loop forever (or silently do nothing).
+        for name in ("horizon", "tick_interval"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"{name} must be finite and > 0, got {value!r}"
+                )
 
 
 @dataclass
@@ -234,16 +249,18 @@ _MILESTONE_SCAN_CHUNK = 64
 
 
 class _HealthyTickTrajectory:
-    """The deterministic pre-sabotage tick trajectory of one campaign.
+    """The deterministic pre-sabotage tick trajectory of one plant.
 
     Until a controller is reprogrammed, the campaign's ``on_tick``
-    handler is a pure function of the (plant, config) pair: it draws no
-    randomness, reads no attack state, and the control registers never
-    change.  Every replication therefore ticks through the *same*
-    healthy trajectory — so one probe simulation, extended lazily and
-    shared by all replications of the campaign, replaces the per-tick
-    loop.  The probe records, per tick ``k`` (1-based, times built by
-    the same float accumulation the event loop uses):
+    handler is a pure function of the plant and the tick grid
+    (``horizon``, ``tick_interval``): it draws no randomness, reads no
+    attack state, and the control registers never change.  Every
+    replication of every campaign over equal plant content and grid
+    therefore ticks through the *same* healthy trajectory — so one probe
+    simulation, extended lazily and shared through
+    :data:`_TRAJECTORIES`, replaces the per-tick loop.  The probe
+    records, per tick ``k`` (1-based, times built by the same float
+    accumulation the event loop uses):
 
     * the master's first finding (alarm or spoof-detector label) and
       the first tick at which accumulated damage crosses impairment —
@@ -255,16 +272,20 @@ class _HealthyTickTrajectory:
       resume the exact legacy per-tick loop from tick ``j + 1``.
 
     Thread-safe: extension is serialized by a lock (the ``thread``
-    backend runs replications of one campaign concurrently); already
-    scanned ticks are immutable and read lock-free.
+    backend runs replications of shared campaigns concurrently);
+    already scanned ticks are immutable and read lock-free.
     """
 
     def __init__(
-        self, config: CampaignConfig, record_snapshots: bool = True
+        self,
+        plant: PhysicalProcess,
+        horizon: float,
+        tick_interval: float,
+        record_snapshots: bool = True,
     ) -> None:
-        self.config = config
+        self.tick_interval = tick_interval
         self.record_snapshots = record_snapshots
-        self.plant = config.plant_factory()
+        self.plant = plant
         self.registers = self.plant.default_registers()
         self.damage = self.plant.make_damage_model()
         self.monitored = self.plant.monitored_register
@@ -274,8 +295,8 @@ class _HealthyTickTrajectory:
         # elided path reproduces the same float values.
         times = [0.0]
         while True:
-            nxt = times[-1] + config.tick_interval
-            if nxt > config.horizon:
+            nxt = times[-1] + tick_interval
+            if nxt > horizon:
                 break
             times.append(nxt)
         self.times = times
@@ -307,18 +328,21 @@ class _HealthyTickTrajectory:
 
     def scan_to(self, k: int) -> None:
         """Extend the probe simulation through tick ``min(k, n_ticks)``."""
-        if self.scanned >= min(k, self.n_ticks):
+        target = min(k, self.n_ticks)
+        if self.scanned >= target:
             return
-        with self._lock:
-            target = min(k, self.n_ticks)
+        with _span("campaign.trajectory_scan"), self._lock:
+            start = self.scanned
             while self.scanned < target:
                 self._step_once()
+            scanned = self.scanned - start
+        _metric_inc("trajectory.ticks_scanned", scanned)
 
     def _step_once(self) -> None:
         """One healthy tick, mirroring ``on_tick``'s pre-sabotage body."""
         k = self.scanned + 1
         now = self.times[k]
-        dt_seconds = self.config.tick_interval * 3600.0
+        dt_seconds = self.tick_interval * 3600.0
         self.plant.step(self.registers, dt=dt_seconds)
         self.damage.update(self.plant.stress_level(), dt_seconds, now)
         reported = dict(self.registers)
@@ -375,6 +399,75 @@ class _HealthyTickTrajectory:
         return self.readings[1 : k + 1]
 
 
+class _TrajectoryMemo:
+    """A bounded, lock-guarded LRU of healthy trajectories keyed by content.
+
+    The key is the plant's class and
+    :meth:`~repro.scada.plant.process.PhysicalProcess.content_key`, the
+    tick grid and the snapshot flag — everything a trajectory depends
+    on — so campaigns of different DoE runs, scenarios and sessions
+    over the same plant share one lazily scanned trajectory.  A plant
+    without a content key gets a private trajectory.
+    """
+
+    def __init__(self, maxsize: int) -> None:
+        self.maxsize = maxsize
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget every entry, with a fresh lock (also run in forked
+        children, which may inherit the lock held by a scanning
+        thread)."""
+        self._lock = threading.Lock()
+        self._entries: "OrderedDict[tuple, _HealthyTickTrajectory]" = (
+            OrderedDict()
+        )
+
+    def get(
+        self, config: CampaignConfig, record_snapshots: bool
+    ) -> _HealthyTickTrajectory:
+        """The trajectory of ``config``'s plant and tick grid."""
+        plant = config.plant_factory()
+        content_key = getattr(plant, "content_key", None)
+        content = content_key() if content_key is not None else None
+        key = (
+            type(plant),
+            content,
+            config.horizon,
+            config.tick_interval,
+            record_snapshots,
+        )
+        with self._lock:
+            trajectory = None if content is None else self._entries.get(key)
+            built = trajectory is None
+            if trajectory is None:
+                # Cheap under the lock: the constructor only lays out
+                # the grid (the scan is lazy).  It uses the very plant
+                # the key was computed from.
+                trajectory = _HealthyTickTrajectory(
+                    plant,
+                    config.horizon,
+                    config.tick_interval,
+                    record_snapshots,
+                )
+                if content is not None:
+                    self._entries[key] = trajectory
+                    if len(self._entries) > self.maxsize:
+                        self._entries.popitem(last=False)
+            else:
+                self._entries.move_to_end(key)
+        _metric_inc("trajectory.builds" if built else "trajectory.hits")
+        return trajectory
+
+
+#: The process-wide trajectory memo.  A study touches a handful of
+#: contents (one per plant x tick grid x snapshot flag); the bound caps
+#: memory for long sessions that sweep many plants or grids.
+_TRAJECTORIES = _TrajectoryMemo(maxsize=32)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_TRAJECTORIES.reset)
+
+
 class AttackCampaign:
     """Runs attack campaigns against a configured SCADA system.
 
@@ -407,9 +500,10 @@ class AttackCampaign:
         self._trajectory: Optional[_HealthyTickTrajectory] = None
 
     def __getstate__(self) -> Dict[str, object]:
-        """Pickle without the healthy trajectory (it holds a lock and is
-        cheap to rebuild worker-side, where one unpickled campaign is
-        shared by every replication of a chunk)."""
+        """Pickle without the healthy trajectory handle (it holds a
+        lock); worker-side the campaign looks it up again in that
+        process's trajectory memo, so each worker builds one per
+        content key."""
         state = self.__dict__.copy()
         state["_trajectory"] = None
         return state
@@ -558,17 +652,18 @@ class AttackCampaign:
         return plans
 
     def invalidate_tables(self) -> None:
-        """Drop the compiled probability tables and healthy trajectory.
+        """Drop the compiled probability tables and trajectory handle.
 
         Call after mutating the campaign's network, catalog, threat or
-        config in place; the next replication recompiles both against
-        the new configuration.
+        config in place; the next replication recompiles the tables and
+        looks the trajectory up again by the new plant content and tick
+        grid.
         """
         self._tables = None
         self._trajectory = None
 
     def _healthy_trajectory(self) -> _HealthyTickTrajectory:
-        """The shared healthy tick trajectory (built on first use).
+        """The shared healthy tick trajectory (looked up on first use).
 
         Per-tick state snapshots exist to resume the per-tick loop at
         sabotage, which only ``"impair"``-goal threats can trigger —
@@ -576,9 +671,8 @@ class AttackCampaign:
         """
         trajectory = self._trajectory
         if trajectory is None:
-            trajectory = _HealthyTickTrajectory(
-                self.config,
-                record_snapshots=(self.threat.goal == "impair"),
+            trajectory = _TRAJECTORIES.get(
+                self.config, record_snapshots=(self.threat.goal == "impair")
             )
             self._trajectory = trajectory
         return trajectory
@@ -613,11 +707,12 @@ class AttackCampaign:
 
         Runs the tick-elision fast path when
         :attr:`CampaignConfig.tick_elision` is set (the default): the
-        rng-free healthy tick stream is served from the campaign's
-        shared :class:`_HealthyTickTrajectory` and the legacy per-tick
-        loop is resumed — from a bit-exact state restore — only once a
-        controller is reprogrammed.  Outcomes are identical to the
-        legacy loop for the same generator state.
+        rng-free healthy tick stream is served from the shared
+        :class:`_HealthyTickTrajectory` of the campaign's plant and tick
+        grid, and the legacy per-tick loop is resumed — from a bit-exact
+        state restore — only once a controller is reprogrammed.
+        Outcomes are identical to the legacy loop for the same generator
+        state.
         """
         tables = self._compile_tables()
         cfg = self.config

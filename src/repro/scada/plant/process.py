@@ -10,8 +10,10 @@ into the same attack machinery.
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
 from abc import ABC, abstractmethod
-from typing import Dict
+from typing import Dict, Optional
 
 from repro.scada.plant.damage import DamageModel
 
@@ -62,3 +64,29 @@ class PhysicalProcess(ABC):
     @abstractmethod
     def make_damage_model(self) -> DamageModel:
         """A damage model calibrated to this process's stress scale."""
+
+    def content_key(self) -> Optional[bytes]:
+        """A key equal for two fresh plants only if they evolve alike.
+
+        Campaigns share one healthy-tick trajectory between plants whose
+        keys (and classes) are equal, so equal keys must mean identical
+        healthy dynamics and damage.  The default serves plants whose
+        behaviour is fixed by their class plus picklable instance state
+        configured through a dataclass ``config`` (the cooling plant and
+        the power feeder): it pickles the fresh instance and its
+        damage model.  Other plants, and ones that cannot be pickled,
+        return None and get a private trajectory per campaign; override
+        this to share theirs.
+
+        Call it on a freshly built plant: a stepped plant keys its
+        current state, not its configuration.
+        """
+        if not dataclasses.is_dataclass(getattr(self, "config", None)):
+            return None
+        try:
+            return pickle.dumps(
+                (self, self.make_damage_model()),
+                protocol=pickle.HIGHEST_PROTOCOL,
+            )
+        except (pickle.PicklingError, TypeError, AttributeError):
+            return None

@@ -104,12 +104,8 @@ class Scenario:
             raise ValueError(
                 f"replications must be >= 1, got {self.replications}"
             )
-        if self.horizon <= 0:
-            raise ValueError(f"horizon must be > 0, got {self.horizon}")
-        if self.tick_interval <= 0:
-            raise ValueError(
-                f"tick_interval must be > 0, got {self.tick_interval}"
-            )
+        # CampaignConfig owns the tick-grid rule (finite and > 0).
+        CampaignConfig(horizon=self.horizon, tick_interval=self.tick_interval)
         if self.response_delay_rate is not None:
             if not self.response_enabled:
                 raise ValueError(

@@ -180,6 +180,14 @@ def _render_headlines(snapshot: TelemetrySnapshot, lines: List[str]) -> None:
             f"({int(snapshot.counter('campaign.sabotage_resumes'))} sabotage "
             "resumes)"
         )
+    built = snapshot.counter("trajectory.builds")
+    shared = snapshot.counter("trajectory.hits")
+    if built or shared:
+        lines.append(
+            f"  trajectories: {int(built)} built / {int(shared)} shared "
+            f"({int(snapshot.counter('trajectory.ticks_scanned'))} ticks "
+            "scanned)"
+        )
     lanes = snapshot.counter("batch.lanes")
     if lanes:
         batches = snapshot.counter("batch.batches")

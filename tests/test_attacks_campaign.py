@@ -196,3 +196,32 @@ class TestBatch:
         campaign = AttackCampaign(network, catalog, threat, FAST)
         with pytest.raises(ValueError):
             campaign.run_batch(0, np.random.default_rng(1))
+
+
+class TestConfigValidation:
+    """An invalid tick grid used to loop forever in ``run`` (a zero,
+    negative or NaN interval never reaches the horizon) or to run
+    silently (a negative horizon)."""
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("tick_interval", 0.0),
+            ("tick_interval", -0.5),
+            ("tick_interval", math.nan),
+            ("tick_interval", math.inf),
+            ("horizon", 0.0),
+            ("horizon", -1.0),
+            ("horizon", math.nan),
+            ("horizon", math.inf),
+        ],
+    )
+    def test_invalid_grid_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            CampaignConfig(**{field: value})
+
+    def test_replace_revalidates(self):
+        from dataclasses import replace
+
+        with pytest.raises(ValueError, match="tick_interval"):
+            replace(FAST, tick_interval=float("nan"))

@@ -40,7 +40,11 @@ class TestValidation:
             ("replications", 0),
             ("horizon", 0.0),
             ("horizon", -5.0),
+            ("horizon", float("nan")),
+            ("horizon", float("inf")),
             ("tick_interval", 0.0),
+            ("tick_interval", float("nan")),
+            ("tick_interval", float("inf")),
         ],
     )
     def test_non_positive_knobs_rejected(self, field, value):
